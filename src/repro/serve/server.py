@@ -432,13 +432,24 @@ class ReproServer:
             if kind in ("witness", "final"):
                 _VERDICT_LAT.observe(now - entry.last_flush)
             if kind == "error":
-                entry.error = ev
-                entry.credit.set()  # wake a paused reader so it can bail
+                self._fail(entry, ev)
             if entry.durable:
                 entry.events_log.append(ev)
             self._publish(entry, ev)
             if kind == "final" and not entry.final.done():
                 entry.final.set_result(ev)
+
+    def _fail(self, entry: _Entry, ev: Dict[str, Any]) -> None:
+        """The session failed with error event ``ev``: no final will come.
+
+        Wakes a paused reader so it can bail, and resolves ``entry.final``
+        with ``None`` so every final waiter returns now instead of sitting
+        out ``drain_timeout``.  The caller publishes ``ev``.
+        """
+        entry.error = ev
+        entry.credit.set()
+        if not entry.final.done():
+            entry.final.set_result(None)
 
     def _commit_checkpoint(self, entry: _Entry, ev: Dict[str, Any]) -> None:
         """A worker shipped a ``_ckpt`` snapshot: publish it atomically
@@ -851,7 +862,7 @@ class ReproServer:
                         state.tenant, state.session, 0, "protocol",
                         f"bad durable stream header ({exc})",
                     )
-                    entry.error = ev
+                    self._fail(entry, ev)
                     self._publish(entry, ev)
                     return False
                 entry.header = header

@@ -158,9 +158,8 @@ class WorkerSupervisor:
                 f"detection worker {reason}; session state was not durable "
                 f"(start the server with --durable to survive this)",
             )
-            entry.error = ev
+            server._fail(entry, ev)
             server._publish(entry, ev)
-            entry.credit.set()
             return
         if target is None:
             _LOST.inc()
@@ -168,9 +167,8 @@ class WorkerSupervisor:
                 state.tenant, state.session, state.acked, "worker-crash",
                 "no surviving worker shard to move the session to",
             )
-            entry.error = ev
+            server._fail(entry, ev)
             server._publish(entry, ev)
-            entry.credit.set()
             return
         if target != state.shard:
             server.pool.pin(key, target)
@@ -192,9 +190,8 @@ class WorkerSupervisor:
                 state.tenant, state.session, state.acked, "worker-crash",
                 "durable state unreadable after worker crash",
             )
-            entry.error = ev
+            server._fail(entry, ev)
             server._publish(entry, ev)
-            entry.credit.set()
             return
         entry.restoring = True
         server.pool.restore(

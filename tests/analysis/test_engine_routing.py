@@ -56,7 +56,7 @@ def test_explicit_slice_on_non_regular_raises():
     with pytest.raises(NotRegularError):
         possibly(dep, pred, engine="slice")
     with pytest.raises(NotRegularError):
-        definitely(dep, pred, engine="parallel")
+        definitely(dep, pred, engine="slice")
 
 
 def test_unknown_engine_rejected():

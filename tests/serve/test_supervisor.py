@@ -10,6 +10,7 @@ the suite fast while still landing the kill mid-stream.
 import asyncio
 import os
 import signal
+import time
 
 import pytest
 
@@ -99,7 +100,9 @@ def test_kill9_worker_durable_session_recovers_identically(tmp_path):
 
 def test_kill9_worker_non_durable_session_fails_typed(tmp_path):
     """Without --durable there is nothing to replay: the session must
-    fail fast with a typed ``worker-crash`` error event, not hang."""
+    fail fast with a typed ``worker-crash`` error event, not hang.  The
+    error resolves the session's final waiters, so ``closed`` follows it
+    at once instead of after the server's 30 s ``drain_timeout``."""
     dep, header, lines = make_stream(21, events_per_proc=14)
     doc = stream_doc(header, lines)
 
@@ -109,17 +112,21 @@ def test_kill9_worker_non_durable_session_fails_typed(tmp_path):
             batch=2, heartbeat_interval=0.05, restart_backoff=0.01,
             tenant_opts={"t": {"delay_per_record": 0.01}})
         kill = asyncio.ensure_future(kill_session_shard(srv))
+        t0 = time.monotonic()
         evs = await stream_events(connect, "t", "s", PREDICATE, doc,
                                   timeout=30.0)
+        elapsed = time.monotonic() - t0
         await kill
         await srv.drain()
-        return evs
+        return evs, elapsed
 
-    evs = run(body())
+    evs, elapsed = run(body())
     errors = [e for e in evs if e.get("e") == "error"]
     assert errors and errors[-1]["code"] == "worker-crash"
     assert "durable" in errors[-1]["message"]
     assert not any(e.get("e") == "final" for e in evs)
+    assert evs[-1].get("e") == "closed"
+    assert elapsed < 5.0, f"closed arrived {elapsed:.2f}s after the start"
 
 
 def test_budget_exhausted_shard_is_abandoned_and_repinned(tmp_path):
