@@ -19,8 +19,13 @@ Three legs, all through the public CLI:
    branch must refuse with exit 3 and record a ``rejected`` verdict on
    the branch; ``--force`` must override.
 
-Run as ``PYTHONPATH=src python scripts/lint_gate.py``; exits non-zero
-on the first deviation.
+4. **Scale smoke** -- ``repro lint --predicate at-least-one:up`` on a
+   generated n=6, ~2.5k-record stream must finish within 60 s with exit
+   0 and no C104: a search over one false interval per process would try
+   ~5*10^9 combinations there, the Figure 2 decision a few thousand pairs.
+
+Run as ``PYTHONPATH=src python scripts/lint_gate.py`` (append ``scale``
+for leg 4 alone); exits non-zero after the legs if any check failed.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import List, Optional
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -47,12 +53,12 @@ def check(label: str, ok: bool, detail: str = "") -> None:
         FAILURES.append(label)
 
 
-def cli(*args: str) -> subprocess.CompletedProcess:
+def cli(*args: str, timeout: Optional[float] = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        cwd=str(REPO),
+        cwd=str(REPO), timeout=timeout,
     )
 
 
@@ -143,11 +149,34 @@ def leg_replay_gate(bad_db: Path) -> None:
           r.stdout + r.stderr)
 
 
-def main() -> int:
-    leg_baseline()
+def leg_scale(tmp: Path) -> None:
+    from repro.trace.io import write_event_stream
+    from repro.workloads import random_deposet
+
+    trace = tmp / "scale.jsonl"
+    write_event_stream(
+        random_deposet(n=6, events_per_proc=420, message_rate=0.15,
+                       flip_rate=0.2, seed=13),
+        trace,
+    )
+    try:
+        r = cli("lint", str(trace), "--predicate", "at-least-one:up",
+                "--format", "json", timeout=60)
+    except subprocess.TimeoutExpired:
+        check("n=6 ~2.5k-record lint finishes within 60 s", False, "timeout")
+        return
+    rules = {f["rule"] for f in json.loads(r.stdout or "{}").get("findings", [])}
+    check("n=6 ~2.5k-record lint exits 0 without C104",
+          r.returncode == 0 and "C104" not in rules,
+          f"exit {r.returncode}: {sorted(rules)} {r.stderr}")
+
+
+def main(argv: List[str]) -> int:
     with tempfile.TemporaryDirectory() as d:
-        bad_db = leg_store(Path(d))
-        leg_replay_gate(bad_db)
+        if argv != ["scale"]:
+            leg_baseline()
+            leg_replay_gate(leg_store(Path(d)))
+        leg_scale(Path(d))
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {FAILURES}")
         return 1
@@ -156,4 +185,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -14,9 +14,9 @@ computation -- before any replay is attempted:
   state) or whose target is entered before anything can be waited for
   (initial state) can never be enforced by an online controller.
 * **C104** Lemma 2, re-derived statically: when a (disjunctive) predicate
-  is supplied, search the false-intervals for an overlapping set; if one
-  exists, *no* controller exists for this computation at all, and the
-  witness is that interval set.
+  is supplied, the Figure 2 walk decides whether an overlapping set of
+  false-intervals exists; if so, *no* controller exists at all, and the
+  witness is that set (one interval per process).
 * **C106/C107** online-control assumptions: A1 (never block a process
   where its local predicate is false) judged at each arrow's blocking
   state, and A2 (local predicates hold in final states).
@@ -127,7 +127,6 @@ def analyze_control(
     cycle = find_event_cycle(
         counts, combined, candidates=range(len(msgs), len(combined))
     )
-    interferes = cycle is not None
     if cycle is not None:
         events, ci = cycle
         closing = raw.control[unique[ci - len(msgs)]]
@@ -146,16 +145,25 @@ def analyze_control(
         )
 
     # C102: transitively redundant arrows -- already implied by the rest
-    # of the extended relation.  Needs an acyclic relation to be
-    # meaningful (an interfering relation orders everything).
-    if not interferes:
-        for k in unique:
+    # of the extended relation (an interfering one orders everything).
+    # Arrow k (event edge u -> v) is implied iff some *other* edge w -> v
+    # (v's process predecessor, a message, an arrow) has u ->= w, i.e. u
+    # completes before the state w enters; a path u ->* w through k would
+    # close a cycle, so one order over the whole relation serves every k.
+    if cycle is None:
+        edges = msgs + [raw.control[k].pair for k in unique]
+        order = CausalOrder(counts, edges)
+        into: Dict[Ref, List[Tuple[int, Ref]]] = {}
+        for j, (src, dst) in enumerate(edges):
+            into.setdefault(dst, []).append((j, (src[0], src[1] + 1)))
+        for j, k in enumerate(unique, start=len(msgs)):
             c = raw.control[k]
-            rest = msgs + [
-                raw.control[j].pair for j in unique if j != k
+            entered = [(c.dst[0], c.dst[1] - 1)] + [
+                s for i, s in into[c.dst] if i != j and s != c.dst
             ]
-            order = CausalOrder(counts, rest)
-            if order.happened_before(c.src, c.dst):
+            if c.src[0] == c.dst[0] or any(
+                order.happened_before(c.src, s) for s in entered
+            ):
                 findings.append(
                     Finding(
                         "C102",

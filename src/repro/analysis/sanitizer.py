@@ -16,7 +16,7 @@ extended relation (C101).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
@@ -61,10 +61,8 @@ def _event_edges(
     for src, dst in arrows:
         u: EventRef = (src[0], src[1])
         v: EventRef = (dst[0], dst[1] - 1)
-        if u == v:
-            arrow_edges.append((u, v))
-            continue
-        succ.setdefault(u, []).append(v)
+        if u != v:
+            succ.setdefault(u, []).append(v)
         arrow_edges.append((u, v))
     return succ, arrow_edges
 
@@ -82,30 +80,34 @@ def find_event_cycle(
     shortest path, so the returned cycle is minimal among cycles through
     any candidate.  Returns ``(events, arrow_index)`` -- the cycle as an
     event sequence (closing arrow implied from last back to first) and
-    the index of the arrow that closes it.
+    the index of the arrow that closes it.  A Kahn pass (``O(V + E)``)
+    first keeps only the events reachable from a cycle: an arrow with an
+    endpoint outside them closes none, so an acyclic graph needs no BFS.
     """
     succ, arrow_edges = _event_edges(counts, arrows)
+    indeg = Counter(nxt for nxts in succ.values() for nxt in nxts)
+    ready = [node for node in succ if not indeg[node]]
+    while ready:
+        for nxt in succ.get(ready.pop(), ()):
+            indeg[nxt] -= 1
+            if not indeg[nxt]:
+                ready.append(nxt)
     best: Optional[Tuple[List[EventRef], int]] = None
     for k in candidates if candidates is not None else range(len(arrows)):
         u, v = arrow_edges[k]
-        if u == v:
+        if u == v or not (indeg[u] and indeg[v]):
             continue
         # Shortest path v ->* u; appending the closing edge u -> v (arrow
         # k) turns it into a cycle.
         parents: Dict[EventRef, Optional[EventRef]] = {v: None}
         queue: deque[EventRef] = deque([v])
-        found = False
-        while queue and not found:
+        while queue and u not in parents:
             node = queue.popleft()
             for nxt in succ.get(node, ()):
-                if nxt in parents:
-                    continue
-                parents[nxt] = node
-                if nxt == u:
-                    found = True
-                    break
-                queue.append(nxt)
-        if not found:
+                if nxt not in parents:
+                    parents[nxt] = node
+                    queue.append(nxt)
+        if u not in parents:
             continue
         path: List[EventRef] = []
         cur: Optional[EventRef] = u

@@ -112,9 +112,6 @@ class _Cursor:
             return self.intervals[i][self.iv[i]]
         return None
 
-    def is_false(self, i: int) -> bool:
-        return self.at_lo[i]
-
     def true_from_bottom(self, i: int) -> bool:
         """Has ``P_i`` been true in every state from ``bottom_i`` so far?
 
@@ -228,7 +225,7 @@ def control_disjunctive(
         rng = np.random.default_rng(seed)
     with TRACER.span("offline.control", variant=variant, n=dep.n) as span:
         try:
-            result = _solve(dep, pred, variant, rng)
+            result = _solve(dep, false_intervals(dep, pred), variant, rng)
         except NoControllerExistsError:
             _INFEASIBLE.inc()
             raise
@@ -242,12 +239,11 @@ def control_disjunctive(
 
 def _solve(
     dep: Deposet,
-    pred: DisjunctivePredicate,
+    intervals: Sequence[Sequence[FalseInterval]],
     variant: str,
     rng: Optional[np.random.Generator],
 ) -> OfflineResult:
     order = dep.order
-    intervals = false_intervals(dep, pred)
     cursor = _Cursor(dep, order, intervals)
     n = dep.n
 

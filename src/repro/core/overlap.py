@@ -28,6 +28,8 @@ from itertools import product
 from typing import Optional, Sequence, Tuple
 
 from repro.causality.relations import CausalOrder, StateRef
+from repro.core.offline import _solve
+from repro.errors import NoControllerExistsError
 from repro.predicates.intervals import FalseInterval
 from repro.trace.deposet import Deposet
 
@@ -83,16 +85,14 @@ def overlap(
 def find_overlapping_intervals(
     dep: Deposet, interval_lists: Sequence[Sequence[FalseInterval]]
 ) -> Optional[Tuple[FalseInterval, ...]]:
-    """Brute-force search for an overlapping set (ground truth, exponential).
+    """An overlapping set (one false-interval per process), or ``None``.
 
-    Tries every combination of one interval per process; ``None`` when no
-    process combination overlaps (including when some process has no false
-    interval at all -- then no overlapping set can exist).
+    Decided by the Figure 2 cursor walk in ``O(n^2 p)`` pair checks: it
+    gets stuck exactly when such a set exists (Lemma 2 and the
+    algorithm's completeness), and the witness is its ``N(i)`` set.
     """
-    if any(len(lst) == 0 for lst in interval_lists):
-        return None
-    order = dep.order
-    for combo in product(*interval_lists):
-        if overlap(dep, combo, order):
-            return tuple(combo)
+    try:
+        _solve(dep, interval_lists, "optimized", None)
+    except NoControllerExistsError as exc:
+        return exc.witness
     return None

@@ -16,6 +16,8 @@ from repro.predicates import FalseInterval, false_intervals
 from repro.trace import ComputationBuilder
 from repro.workloads import availability_predicate, random_deposet
 
+from tests.core._overlap_oracle import brute_force_overlapping
+
 
 def patterns(*seqs):
     b = ComputationBuilder(len(seqs), start_vars=[{"up": s[0]} for s in seqs])
@@ -76,7 +78,7 @@ def test_find_overlapping_none_when_a_process_is_clean():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=50_000))
 def test_overlap_witness_agrees_with_algorithm(seed):
-    """Brute-force overlap search vs the algorithm's feasibility verdict.
+    """Brute-force overlap oracle vs the algorithm's feasibility verdict.
 
     Overlap existing implies infeasible (Lemma 2).  The converse direction
     (infeasible implies some overlapping set exists) is checked too --
@@ -88,7 +90,7 @@ def test_overlap_witness_agrees_with_algorithm(seed):
     )
     pred = availability_predicate(3, var="up")
     intervals = false_intervals(dep, pred)
-    witness = find_overlapping_intervals(dep, intervals)
+    witness = brute_force_overlapping(dep, intervals)
     feasible = is_feasible(dep, pred)
     if witness is not None:
         assert not feasible, f"overlap {witness} but controller found"
@@ -110,3 +112,5 @@ def test_algorithm_witness_is_overlapping(seed):
     except NoControllerExistsError as exc:
         assert exc.witness is not None
         assert all(iv is not None for iv in exc.witness)
+        assert overlap(dep, exc.witness)
+
