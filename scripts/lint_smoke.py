@@ -11,6 +11,13 @@ rule id each time, with a concrete witness:
 * orphan receive endpoint      -> ``T005``
 * interfering control arrow    -> ``C101``
 
+Then writes inputs the trace grammar must refuse (a non-numeric stream
+``time``, bad header ``start_times``/``proc_names``, a batch whose
+``messages``/``control`` is not a list or whose ``proc_names`` is a
+string) and checks that ``repro lint`` reports T001 at the expected
+location (exit 1), that ``repro ingest`` and ``repro detect`` stop with
+``error: <location>: ...`` (exit 3), and that no traceback escapes.
+
 Finally lints the committed workload generators (philosophers, mutex,
 figure 4) and requires zero errors on each -- warnings are allowed there
 (recorded workloads legitimately contain races).
@@ -75,6 +82,69 @@ def run_cli(path: Path, *extra: str) -> subprocess.CompletedProcess:
     )
 
 
+def run_verb(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True, text=True,
+    )
+
+
+def malformed_inputs(tmp: Path) -> list:
+    """``(path, lint location, strict error prefix)`` per refused input."""
+    header = {"format": "repro-events/1", "proc_names": ["A", "B"],
+              "start": [{}, {}], "start_times": [0.0, 0.0]}
+    ev = {"t": "ev", "p": 0, "u": {}}
+    streams = {
+        "time-abc": [header, dict(ev, time="abc")],
+        "start-times-x": [dict(header, start_times=["x", "y"]), ev],
+        "proc-names-short": [dict(header, proc_names=["A"]), ev],
+        "start-times-short": [dict(header, start_times=[0.0]), ev],
+    }
+    batch = {"format": "repro-deposet/1", "proc_names": ["A", "B"],
+             "states": [[{}, {}], [{}, {}]], "messages": [], "control": []}
+    docs = {"messages": {"messages": 5}, "control": {"control": 5},
+            "proc_names": {"proc_names": "AB"}}
+    out = []
+    for name, records in streams.items():
+        path = tmp / f"{name}.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        line = 2 if name == "time-abc" else 1
+        out.append((path, f"{path}:{line}", f"error: {path}:{line}: "))
+    for key, change in docs.items():
+        path = tmp / f"bad-{key}.json"
+        path.write_text(json.dumps({**batch, **change}))
+        out.append((path, key, f"error: {path}: {key}: "))
+    return out
+
+
+def check_malformed(tmp: Path) -> None:
+    for path, location, prefix in malformed_inputs(tmp):
+        name = path.name
+        proc = run_cli(path)
+        stderr = proc.stderr
+        try:
+            findings = json.loads(proc.stdout)["findings"]
+        except ValueError:  # a crash printed no report
+            findings = []
+        check(f"{name}: lint exits 1", proc.returncode == 1, proc.stdout + proc.stderr)
+        check(
+            f"{name}: lint reports T001 at {location}",
+            any(f["rule"] == "T001" and f.get("location") == location
+                for f in findings),
+            proc.stdout,
+        )
+        verbs = [["ingest", str(path), "-o", str(tmp / "out.x")]]
+        if path.suffix == ".json":  # detect reads batch documents
+            verbs.append(["detect", str(path), "--predicate", "at-least-one:x"])
+        for argv in verbs:
+            proc = run_verb(*argv)
+            stderr += proc.stderr
+            check(f"{name}: {argv[0]} exits 3", proc.returncode == 3, proc.stderr)
+            check(f"{name}: {argv[0]} names {location}",
+                  any(ln.startswith(prefix) for ln in proc.stderr.splitlines()),
+                  proc.stderr)
+        check(f"{name}: no traceback", "Traceback" not in stderr, stderr)
+
+
 def rule_ids(proc: subprocess.CompletedProcess) -> list:
     doc = json.loads(proc.stdout)
     return sorted({f["rule"] for f in doc["findings"]})
@@ -137,7 +207,10 @@ def main() -> int:
         any(f["data"].get("cycle_events") for f in doc["findings"]),
     )
 
-    # 4. committed workload generators must lint with zero errors
+    # 4. malformed input: T001 in lint, a located error from the strict verbs
+    check_malformed(tmp)
+
+    # 5. committed workload generators must lint with zero errors
     for name, wdep in (
         ("philosophers", philosophers_trace(3, 2, seed=7)),
         ("mutex", mutex_trace(2, n=2, seed=7)),

@@ -11,7 +11,7 @@ the blocking discipline (implemented by :mod:`repro.replay`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.causality.relations import StateRef
 from repro.trace.deposet import Deposet
@@ -109,11 +109,27 @@ class ControlRelation:
         optimal tracing's transitive reduction.  Greedy: arrows are tested
         in reverse insertion order, so chain-shaped relations shed their
         redundant late links first.
+
+        One extended order is built, up front, so an interfering relation
+        raises :class:`~repro.errors.InterferenceError` whatever its arrow
+        order.  Arrow ``u -> v`` is implied by what remains iff ``u``
+        precedes ``v``'s process predecessor or, for another remaining
+        in-edge ``w -> v``, the state after ``w`` (a path cannot use the
+        arrow itself without a cycle); dropping an implied arrow leaves the
+        closure, and so the order, unchanged.
         """
-        kept: List[Arrow] = list(self._arrows)
-        for arrow in list(reversed(self._arrows)):
-            others = [a for a in kept if a != arrow]
-            trial = dep.order.extended(others)  # dep's own control counts too
-            if trial.happened_before(arrow[0], arrow[1]):
-                kept = others
-        return ControlRelation(kept)
+        order = self.apply(dep).order
+        into: Dict[StateRef, List[StateRef]] = {}
+        for w, v in [(m.src, m.dst) for m in dep.messages] + [*dep.control_arrows, *self._arrows]:
+            into.setdefault(v, []).append(w)
+        kept = set(self._arrows)
+        for u, v in reversed(self._arrows):
+            sources = into[v]
+            sources.remove(u)  # the arrow under test; re-added if it stays
+            if order.happened_before(u, (v.proc, v.index - 1)) or any(
+                order.happened_before(u, (w.proc, w.index + 1)) for w in sources
+            ):
+                kept.discard((u, v))
+            else:
+                sources.append(u)
+        return ControlRelation(a for a in self._arrows if a in kept)

@@ -46,20 +46,29 @@ Payloads are serialised only when JSON-representable; otherwise they are
 dropped with a ``repr`` placeholder (payloads are never semantically
 meaningful to the algorithms).
 
-Malformed inputs raise :class:`~repro.errors.MalformedTraceError` carrying
-the offending location -- the JSON path (``messages[3].src``) for batch
-documents, ``file:line`` for streams.
+The grammar of both formats lives here and only here:
+:func:`check_deposet_document`, :func:`check_stream_header` and
+:func:`check_stream_record` write each structural check once and report a
+problem as ``(location, message)`` through a callback.  The strict loaders
+below raise :class:`~repro.errors.MalformedTraceError` with
+``location: message`` of the first problem -- the location is the JSON path
+(``messages[3].src``) for batch documents, ``file:line`` for streams; the
+lint parser (:mod:`repro.analysis.raw`) reports every problem as a T001
+finding and carries on.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     IO,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
@@ -163,95 +172,230 @@ def deposet_to_dict(
     return out
 
 
-def _fail(path: str, msg: str) -> None:
-    raise MalformedTraceError(f"{path}: {msg}")
+# -- the grammar of both formats (see the module docstring) ------------------
+
+#: ``report(location, message)``; ``location`` is ``None`` only for a batch
+#: document that is not an object at all.
+Report = Callable[[Optional[str], str], None]
+
+_FLOAT_MAX = sys.float_info.max
+#: the ``"u"`` default (read-only: never mutated by a consumer)
+_NO_UPDATES: Dict[str, Any] = {}
 
 
-def _check_ref(value: Any, path: str) -> Tuple[int, int]:
+def _raise(location: Optional[str], message: str) -> None:
+    raise MalformedTraceError(f"{location}: {message}" if location else message)
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number that converts to a float (bools are not numbers)."""
+    return isinstance(value, float) or (
+        isinstance(value, int) and not isinstance(value, bool)
+        and -_FLOAT_MAX <= value <= _FLOAT_MAX
+    )
+
+
+def _ref_ok(value: Any, location: str, report: Report, field: str = "") -> bool:
+    """Whether ``value`` is a ``[process, state]`` pair of (non-bool) ints."""
     if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in value)
+        isinstance(value, (list, tuple)) and len(value) == 2
+        and isinstance(value[0], int) and not isinstance(value[0], bool)
+        and isinstance(value[1], int) and not isinstance(value[1], bool)
     ):
-        _fail(path, f"expected a [process, state] pair, got {value!r}")
-    return value[0], value[1]
+        return True
+    report(location, f"{field}expected a [process, state] pair, got {value!r}")
+    return False
 
 
-def _check_vars(value: Any, path: str) -> Dict[str, Any]:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object of variables, got {value!r}")
+def check_deposet_document(data: Any, report: Report) -> Optional[tuple]:
+    """The grammar of a ``repro-deposet/1`` document.
+
+    Returns ``(states, proc_names, messages, control, timestamps)``, or
+    ``None`` when there is nothing to rebuild (not an object, or no usable
+    ``states`` list).  ``messages`` holds ``(k, src, dst, record)`` and
+    ``control`` holds ``(k, src, dst)`` for each well-formed entry ``k``.
+    Substitutes after a report: ``{}`` for a bad state, ``[{}]`` for a bad
+    process row, ``None`` for bad ``proc_names``/``timestamps``; a bad
+    message or control entry is dropped.
+    """
+    if not isinstance(data, dict):
+        report(None, f"expected a trace object, got {type(data).__name__}")
+        return None
+    fmt = data.get("format")
+    if fmt != FORMAT:
+        report("format", f"unknown trace format {fmt!r}; expected {FORMAT!r}")
+    rows = data.get("states")
+    if not isinstance(rows, list) or not rows:
+        report("states", "expected a non-empty list of per-process state lists")
+        return None
+    states = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            report(f"states[{i}]", "expected a non-empty list of variable objects")
+            row = [{}]
+        for a, vars in enumerate(row):
+            if not isinstance(vars, dict):
+                report(f"states[{i}][{a}]",
+                       f"expected an object of variables, got {vars!r}")
+        states.append([v if isinstance(v, dict) else {} for v in row])
+    n = len(states)
+    names = data.get("proc_names")
+    if names is not None and not (isinstance(names, list) and len(names) == n):
+        report("proc_names", f"expected {n} names, got {names!r}")
+        names = None
+    messages = []
+    for k, m in enumerate(_entries(data, "messages", report)):
+        if not isinstance(m, dict):
+            report(f"messages[{k}]", f"expected an object, got {m!r}")
+        elif _ref_ok(m.get("src"), f"messages[{k}].src", report) and _ref_ok(
+            m.get("dst"), f"messages[{k}].dst", report
+        ):
+            messages.append((k, m["src"], m["dst"], m))
+    control = []
+    for k, arrow in enumerate(_entries(data, "control", report)):
+        if not isinstance(arrow, (list, tuple)) or len(arrow) != 2:
+            report(f"control[{k}]", f"expected a [src, dst] pair, got {arrow!r}")
+        elif _ref_ok(arrow[0], f"control[{k}][0]", report) and _ref_ok(
+            arrow[1], f"control[{k}][1]", report
+        ):
+            control.append((k, arrow[0], arrow[1]))
+    timestamps = data.get("timestamps")
+    if timestamps is not None and (
+        not isinstance(timestamps, list) or len(timestamps) != n
+    ):
+        report("timestamps", f"expected {n} per-process rows, got {timestamps!r}")
+        timestamps = None
+    bad = False
+    for i, row in enumerate(timestamps or ()):
+        if not isinstance(row, list) or not all(map(_is_number, row)):
+            report(f"timestamps[{i}]", f"expected a list of numbers, got {row!r}")
+            bad = True
+        elif len(row) != len(states[i]):
+            report(f"timestamps[{i}]", f"{len(row)} entries for {len(states[i])} states")
+            bad = True
+    if bad:
+        timestamps = None
+    return states, names, messages, control, timestamps
+
+
+def _entries(data: Dict[str, Any], key: str, report: Report) -> List[Any]:
+    """The ``messages``/``control`` list of a document (absent = empty)."""
+    value = data.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        report(key, f"expected a list, got {value!r}")
+        return []
     return value
+
+
+def check_stream_header(rec: Any, where: str, report: Report) -> Optional[tuple]:
+    """The grammar of a ``repro-events/1`` header line at ``where``.
+
+    Returns ``(start, proc_names, start_times)``, or ``None`` when the
+    header is unusable (not an object, or no non-empty ``start`` list).
+    ``start_times`` is ``None``, one number for every process, or a list
+    of one number per process.  Substitutes after a report: ``{}`` for a
+    bad start assignment, ``None`` for bad ``proc_names``/``start_times``.
+    """
+    if not isinstance(rec, dict):
+        report(where, f"expected an object, got {rec!r}")
+        return None
+    fmt = rec.get("format")
+    if fmt != STREAM_FORMAT:
+        report(where, f"unknown stream format {fmt!r}; expected {STREAM_FORMAT!r}")
+    start = rec.get("start")
+    if not isinstance(start, list) or not start:
+        report(where, "header needs a non-empty 'start' list")
+        return None
+    for i, vars in enumerate(start):
+        if not isinstance(vars, dict):
+            report(where, f"start[{i}]: expected an object of variables, got {vars!r}")
+    start = [v if isinstance(v, dict) else {} for v in start]
+    n = len(start)
+    names = rec.get("proc_names")
+    if names is not None and not (isinstance(names, list) and len(names) == n):
+        report(where, f"proc_names: expected {n} names, got {names!r}")
+        names = None
+    times = rec.get("start_times")
+    if times is not None and not _is_number(times) and not (
+        isinstance(times, list) and len(times) == n and all(map(_is_number, times))
+    ):
+        report(where, f"start_times: expected {n} numbers, got {times!r}")
+        times = None
+    return start, names, times
+
+
+def check_stream_record(rec: Any, n: int, where: str, report: Report) -> Optional[tuple]:
+    """The grammar of one ``repro-events/1`` record after the header, for a
+    stream of ``n`` processes.
+
+    Returns ``(kind, p, vars, u, src, dst, time)``, or ``None`` when the
+    record is unusable (not an object, unknown ``"t"``, bad ``"p"``, or a
+    ``"ctl"`` with a bad endpoint).  ``"ev"``/``"recv"`` fill ``p``, one
+    of ``vars``/``u``, ``time`` and (``"recv"``) ``src``; ``"ctl"`` fills
+    ``src`` and ``dst``; ``"obs"`` fills nothing.  Substitutes after a
+    report: ``{}`` for bad ``vars``/``u``, ``None`` for a bad ``time`` or
+    ``"recv"`` source.  A valid record costs no allocation beyond the
+    returned tuple.
+    """
+    if not isinstance(rec, dict):
+        report(where, f"expected an object, got {rec!r}")
+        return None
+    kind = rec.get("t")
+    if kind == "ev" or kind == "recv":
+        proc = rec.get("p")
+        if not isinstance(proc, int) or isinstance(proc, bool) or not 0 <= proc < n:
+            report(where, f"'p' must be a process index, got {proc!r}")
+            return None
+        key = "vars" if "vars" in rec else "u"
+        value = rec.get(key, _NO_UPDATES)
+        if not isinstance(value, dict):
+            report(where, f"{key}: expected an object of variables, got {value!r}")
+            value = {}
+        src = rec.get("src") if kind == "recv" else None
+        if kind == "recv" and not _ref_ok(src, where, report, "src: "):
+            src = None
+        time = rec.get("time")
+        if time is not None and not isinstance(time, float) and not _is_number(time):
+            report(where, f"time: expected a number, got {time!r}")
+            time = None
+        if key == "vars":
+            return kind, proc, value, None, src, None, time
+        return kind, proc, None, value, src, None, time
+    if kind == "ctl":
+        src, dst = rec.get("src"), rec.get("dst")
+        if _ref_ok(src, where, report, "src: ") and _ref_ok(dst, where, report, "dst: "):
+            return kind, None, None, None, src, dst, None
+        return None
+    if kind == "obs":
+        return kind, None, None, None, None, None, None
+    report(where, f"unknown record type {kind!r}")
+    return None
 
 
 def deposet_from_dict(data: Dict[str, Any]) -> Deposet:
     """Rebuild a deposet from :func:`deposet_to_dict` output.
 
-    Structural problems raise :class:`MalformedTraceError` naming the
-    offending JSON path (``states[1][3]``, ``messages[2].src``,
-    ``control[0]``, ``timestamps[1]``); semantic problems (D1--D3,
-    interference) surface from the :class:`Deposet` constructor with the
-    offending state refs in the message.
+    Structural problems raise :class:`MalformedTraceError` with the first
+    problem :func:`check_deposet_document` reports, naming the offending
+    JSON path (``states[1][3]``, ``messages[2].src``, ``control[0]``,
+    ``timestamps[1]``); semantic problems (D1--D3, interference) surface
+    from the :class:`Deposet` constructor with the offending state refs in
+    the message.
     """
-    if not isinstance(data, dict):
-        raise MalformedTraceError(f"expected a trace object, got {type(data).__name__}")
-    if data.get("format") != FORMAT:
-        raise MalformedTraceError(
-            f"unknown trace format {data.get('format')!r}; expected {FORMAT!r}"
-        )
-    states = data.get("states")
-    if not isinstance(states, list) or not states:
-        _fail("states", "expected a non-empty list of per-process state lists")
-    for i, proc_states in enumerate(states):
-        if not isinstance(proc_states, list) or not proc_states:
-            _fail(f"states[{i}]", "expected a non-empty list of variable objects")
-        for a, vars in enumerate(proc_states):
-            _check_vars(vars, f"states[{i}][{a}]")
-    messages = []
-    for k, m in enumerate(data.get("messages", ())):
-        if not isinstance(m, dict):
-            _fail(f"messages[{k}]", f"expected an object, got {m!r}")
-        if "src" not in m or "dst" not in m:
-            _fail(f"messages[{k}]", "missing 'src' or 'dst'")
-        messages.append(
-            MessageArrow(
-                StateRef(*_check_ref(m["src"], f"messages[{k}].src")),
-                StateRef(*_check_ref(m["dst"], f"messages[{k}].dst")),
-                payload=m.get("payload"),
-                tag=m.get("tag"),
-            )
-        )
-    control = []
-    for k, arrow in enumerate(data.get("control") or ()):
-        if not isinstance(arrow, (list, tuple)) or len(arrow) != 2:
-            _fail(f"control[{k}]", f"expected a [src, dst] pair, got {arrow!r}")
-        control.append(
-            (
-                StateRef(*_check_ref(arrow[0], f"control[{k}][0]")),
-                StateRef(*_check_ref(arrow[1], f"control[{k}][1]")),
-            )
-        )
-    timestamps = data.get("timestamps")
-    if timestamps is not None:
-        if not isinstance(timestamps, list) or len(timestamps) != len(states):
-            _fail(
-                "timestamps",
-                f"expected {len(states)} per-process rows, got {timestamps!r}",
-            )
-        for i, row in enumerate(timestamps):
-            if not isinstance(row, list) or not all(
-                isinstance(t, (int, float)) and not isinstance(t, bool) for t in row
-            ):
-                _fail(f"timestamps[{i}]", f"expected a list of numbers, got {row!r}")
-            if len(row) != len(states[i]):
-                _fail(
-                    f"timestamps[{i}]",
-                    f"{len(row)} entries for {len(states[i])} states",
-                )
+    states, names, messages, control, timestamps = check_deposet_document(
+        data, _raise
+    )
     return Deposet(
         states,
-        messages,
-        control,
-        proc_names=data.get("proc_names"),
+        [
+            MessageArrow(StateRef(*src), StateRef(*dst),
+                         payload=m.get("payload"), tag=m.get("tag"))
+            for _k, src, dst, m in messages
+        ],
+        [(StateRef(*src), StateRef(*dst)) for _k, src, dst in control],
+        proc_names=names,
         timestamps=timestamps,
     )
 
@@ -282,12 +426,7 @@ def load_deposet(path: Union[str, Path]) -> Deposet:
     Malformed traces raise :class:`MalformedTraceError` prefixed with the
     file path (and the offending JSON path for structural errors).
     """
-    try:
-        return deposet_from_dict(_load_dict(path))
-    except MalformedTraceError as exc:
-        if str(exc).startswith(str(path)):
-            raise
-        raise MalformedTraceError(f"{path}: {exc}") from exc
+    return load_deposet_meta(path)[0]
 
 
 def load_deposet_meta(
@@ -472,59 +611,33 @@ def write_event_stream(
         writer.close()
 
 
-def _stream_fail(where: str, msg: str) -> None:
-    raise MalformedTraceError(f"{where}: {msg}")
-
-
 def stream_store_from_header(
     rec: Dict[str, Any], where: str, store_target: Optional[str] = None,
 ) -> TraceStore:
     """A fresh :class:`TraceStore` from a parsed ``repro-events/1`` header.
 
-    ``where`` (``file:line`` or a session label) prefixes every error.
-    ``store_target`` selects the storage engine (``"memory"`` default, or
-    ``"sqlite:PATH"`` for a durable commit chain -- the target must not
-    already hold a trace body; fork a branch instead of re-ingesting).
-    Shared by file ingestion and the serving layer's per-tenant sessions.
+    ``where`` (``file:line`` or a session label) prefixes every error; a
+    malformed header raises the first problem :func:`check_stream_header`
+    reports.  ``store_target`` selects the storage engine (``"memory"``
+    default, or ``"sqlite:PATH"`` for a durable commit chain -- the target
+    must not already hold a trace body; fork a branch instead of
+    re-ingesting).  Shared by file ingestion and the serving layer's
+    per-tenant sessions.
     """
-    if not isinstance(rec, dict):
-        _stream_fail(where, f"expected an object, got {rec!r}")
-    if rec.get("format") != STREAM_FORMAT:
-        _stream_fail(
-            where,
-            f"unknown stream format {rec.get('format')!r}; "
-            f"expected {STREAM_FORMAT!r}",
+    start, names, times = check_stream_header(rec, where, _raise)
+    if store_target is None or store_target in ("memory", "mem"):
+        store = TraceStore(len(start), start_vars=start, proc_names=names, start_times=times)
+    else:
+        backend = open_backend(
+            store_target, n=len(start), start_vars=start, proc_names=names, start_times=times,
         )
-    start = rec.get("start")
-    if not isinstance(start, list) or not start:
-        _stream_fail(where, "header needs a non-empty 'start' list")
-    for i, vars in enumerate(start):
-        _check_vars(vars, f"{where}: start[{i}]")
-    try:
-        if store_target is None or store_target in ("memory", "mem"):
-            store = TraceStore(
-                len(start),
-                start_vars=start,
-                proc_names=rec.get("proc_names"),
-                start_times=rec.get("start_times"),
+        if backend.num_states != backend.n:
+            backend.close()
+            raise StorageError(
+                f"{store_target} already holds a trace body; ingest "
+                f"into a fresh database or fork a branch"
             )
-        else:
-            backend = open_backend(
-                store_target,
-                n=len(start),
-                start_vars=start,
-                proc_names=rec.get("proc_names"),
-                start_times=rec.get("start_times"),
-            )
-            if backend.num_states != backend.n:
-                backend.close()
-                raise StorageError(
-                    f"{store_target} already holds a trace body; ingest "
-                    f"into a fresh database or fork a branch"
-                )
-            store = TraceStore(backend=backend)
-    except MalformedTraceError as exc:
-        raise MalformedTraceError(f"{where}: {exc}") from exc
+        store = TraceStore(backend=backend)
     store.obs = None
     return store
 
@@ -535,45 +648,30 @@ def apply_stream_record(
     """Apply one parsed non-header record to ``store``; returns its kind.
 
     ``"ev"``/``"recv"`` append a state, ``"ctl"`` inserts a control arrow,
-    ``"obs"`` lands on ``store.obs``.  Malformed records raise
-    :class:`MalformedTraceError` prefixed with ``where``.  This is the
-    single application path shared by :func:`ingest_event_stream` and the
-    serving layer (one session = one store fed through here).
+    ``"obs"`` lands on ``store.obs``.  A malformed record raises the first
+    problem :func:`check_stream_record` reports, a semantic one (D3,
+    causal delivery order, interference) the store's
+    :class:`MalformedTraceError`; either way prefixed with ``where``.
+    This is the single application path shared by
+    :func:`ingest_event_stream` and the serving layer (one session = one
+    store fed through here).
     """
-    if not isinstance(rec, dict):
-        _stream_fail(where, f"expected an object, got {rec!r}")
-    kind = rec.get("t")
+    kind, proc, vars, updates, src, dst, time = check_stream_record(
+        rec, store.n, where, _raise
+    )
     try:
-        if kind == "ev" or kind == "recv":
-            proc = rec.get("p")
-            if not isinstance(proc, int) or isinstance(proc, bool):
-                _stream_fail(where, f"'p' must be a process index, got {proc!r}")
-            kwargs: Dict[str, Any] = {"time": rec.get("time")}
-            if "vars" in rec:
-                kwargs["vars"] = _check_vars(rec["vars"], f"{where}: vars")
-            else:
-                kwargs["updates"] = _check_vars(rec.get("u", {}), f"{where}: u")
-            if kind == "recv":
-                kwargs["received_from"] = _check_ref(
-                    rec.get("src"), f"{where}: src"
-                )
-                kwargs["payload"] = rec.get("payload")
-                kwargs["tag"] = rec.get("tag")
-            updates = kwargs.pop("updates", None)
-            store.append_state(proc, updates, **kwargs)
-        elif kind == "ctl":
-            store.append_control(
-                _check_ref(rec.get("src"), f"{where}: src"),
-                _check_ref(rec.get("dst"), f"{where}: dst"),
+        if kind == "ev":
+            store.append_state(proc, updates, vars=vars, time=time)
+        elif kind == "recv":
+            store.append_state(
+                proc, updates, vars=vars, time=time, received_from=src,
+                payload=rec.get("payload"), tag=rec.get("tag"),
             )
-        elif kind == "obs":
-            store.obs = rec.get("obs")
+        elif kind == "ctl":
+            store.append_control(src, dst)
         else:
-            _stream_fail(where, f"unknown record type {kind!r}")
+            store.obs = rec.get("obs")
     except MalformedTraceError as exc:
-        prefix = where.split(":", 1)[0]
-        if prefix and str(exc).startswith(prefix):
-            raise
         raise MalformedTraceError(f"{where}: {exc}") from exc
     return kind
 
@@ -622,8 +720,6 @@ def ingest_event_stream(
                         lineno=lineno,
                     ) from exc
                 raise MalformedTraceError(f"{where}: not valid JSON ({exc})") from exc
-            if not isinstance(rec, dict):
-                _stream_fail(where, f"expected an object, got {rec!r}")
             if store is None:
                 store = stream_store_from_header(rec, where, store_target)
             else:

@@ -104,3 +104,80 @@ def test_repr_truncates():
     arrows = [((0, i), (1, i)) for i in range(1, 10)]
     text = repr(ControlRelation(arrows))
     assert "+3" in text
+
+
+# -- minimized: one order, identical to the per-arrow rebuild ---------------
+
+
+def _minimized_oracle(relation, dep):
+    """The per-arrow definition: rebuild the extended order without each
+    arrow in turn (reverse insertion order) and drop it when still implied."""
+    kept = list(relation)
+    for arrow in reversed(relation.arrows):
+        others = [a for a in kept if a != arrow]
+        if dep.order.extended(others).happened_before(*arrow):
+            kept = others
+    return ControlRelation(kept)
+
+
+def _random_relation(dep, rng, tries):
+    """Random cross-process arrows, each kept only if the relation stays
+    non-interfering (so both implementations are defined on it)."""
+    arrows = []
+    for _ in range(tries):
+        p, q = rng.choice(dep.n, size=2, replace=False)
+        if min(dep.state_counts[p], dep.state_counts[q]) < 2:
+            continue  # a process without events has no arrow endpoints
+        u = (int(p), int(rng.integers(0, dep.state_counts[p] - 1)))
+        v = (int(q), int(rng.integers(1, dep.state_counts[q])))
+        try:
+            dep.with_control(arrows + [(u, v)])
+        except InterferenceError:
+            continue
+        arrows.append((u, v))
+    return ControlRelation(arrows)
+
+
+def test_minimized_matches_per_arrow_oracle():
+    import numpy as np
+
+    from repro.workloads import random_deposet
+
+    dropped = 0
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        dep = random_deposet(n=int(rng.integers(2, 5)), events_per_proc=6,
+                             message_rate=.3, flip_rate=.3, seed=seed)
+        if seed % 3 == 0:  # dep's own control arrows are in-edges too
+            dep = _random_relation(dep, rng, 3).apply(dep)
+        relation = _random_relation(dep, rng, 10)
+        got = relation.minimized(dep)
+        assert got.arrows == _minimized_oracle(relation, dep).arrows, seed
+        dropped += len(relation) - len(got)
+    assert dropped > 50  # the comparison exercised real drops
+
+
+def test_minimized_builds_one_order(monkeypatch):
+    import numpy as np
+
+    from repro.workloads import random_deposet
+
+    dep = random_deposet(n=4, events_per_proc=40, message_rate=.15,
+                         flip_rate=.2, seed=0)
+    relation = _random_relation(dep, np.random.default_rng(0), 60)
+    assert len(relation) > 20
+    order_class = type(dep.order)  # the base order is cached before counting
+    builds = []
+    real = order_class.extended
+    monkeypatch.setattr(order_class, "extended",
+                        lambda self, arrows: builds.append(1) or real(self, arrows))
+    relation.minimized(dep)
+    assert len(builds) == 1  # the per-arrow version built len(relation)
+
+
+def test_minimized_raises_on_interference_in_any_order():
+    dep = chain_dep(3)
+    forward, backward = ((0, 1), (1, 2)), ((1, 1), (0, 1))
+    for arrows in ([forward, backward], [backward, forward]):
+        with pytest.raises(InterferenceError):
+            ControlRelation(arrows).minimized(dep)

@@ -64,6 +64,20 @@ def test_unknown_record_kind_is_malformed_not_crash():
     assert bad[0]["e"] == "error" and bad[0]["code"] == "malformed"
 
 
+@pytest.mark.parametrize("timed", [False, True])
+def test_non_numeric_time_is_malformed_with_location(timed):
+    _dep, header, _lines = make_stream(3)
+    if timed:
+        header["start_times"] = [0.0] * len(header["start"])
+    sess = DetectionSession("t", "s", header, PREDICATE)
+    bad = sess.feed_line('{"t":"ev","p":0,"u":{},"time":"abc"}', lineno=2)
+    assert [e["e"] for e in bad] == ["error"]
+    assert bad[0]["code"] == "malformed"
+    assert bad[0]["where"] == "t/s:2"
+    assert "t/s:2: time: expected a number, got 'abc'" in bad[0]["message"]
+    assert sess.failed
+
+
 def test_store_quota_fails_session_over_budget():
     dep, header, lines = make_stream(5, events_per_proc=8)
     sess = DetectionSession("t", "s", header, PREDICATE, max_store_states=6)

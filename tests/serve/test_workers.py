@@ -6,6 +6,7 @@ same streams, the event sequences per session must be byte-identical
 whether detection ran inline or across worker processes.
 """
 
+import json
 import threading
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from repro.serve.protocol import dumps_event
 from repro.serve.workers import InlinePool, ProcessPool, make_pool, shard_of
 
-from .conftest import PREDICATE, make_stream
+from .conftest import PREDICATE, assert_final_matches_batch, make_stream
 
 
 class Collector:
@@ -114,3 +115,21 @@ def test_worker_survives_a_poison_session():
         pool.stop()
     assert any('"error"' in ln for ln in sink.by_key["a/bad"])
     assert any('"final"' in ln for ln in sink.by_key["b/good"])
+
+
+def test_non_numeric_time_is_malformed_and_spares_the_shard():
+    """A record with a non-numeric ``time`` fails its own session as
+    ``malformed`` (not ``internal``); a session sharing the shard finishes."""
+    dep, header, lines = make_stream(seed=3, events_per_proc=5)
+    streams = {
+        "a/bad": (header, [lines[0], '{"t":"ev","p":0,"u":{},"time":"abc"}'] + lines[1:]),
+        "b/good": (header, lines),
+    }
+    out = drive(make_pool(0), streams)
+    errors = [json.loads(ln) for ln in out["a/bad"] if '"error"' in ln]
+    assert [(e["code"], e["where"]) for e in errors] == [("malformed", "a/bad:3")]
+    assert "time: expected a number" in errors[0]["message"]
+    assert not any('"final"' in ln for ln in out["a/bad"])
+    finals = [json.loads(ln) for ln in out["b/good"] if '"final"' in ln]
+    assert len(finals) == 1
+    assert_final_matches_batch(finals[0], dep)
